@@ -8,8 +8,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/simulation.hpp"
@@ -235,15 +238,15 @@ void BM_SensorNearestGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorNearestGrid)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// --- end-to-end ticks/sec: data-oriented vs legacy hot path (E19) ------------
+// --- end-to-end ticks/sec (E19) ----------------------------------------------
 //
 // Whole simulations at scale, measuring executed events per wall second —
-// the number every figure bench's runtime divides by. Args are
-// (sensors, data_oriented); CI runs the 100000-sensor pair and feeds
-// items_per_second into tools/check_ticks_regression.sh, which fails the job
-// on a >15% regression of the pooled/SoA path against the committed
-// baseline. Construction (deployment, discovery floods) is excluded via
-// manual timing: the hot loop is what PR 8 restructured.
+// the number every figure bench's runtime divides by. The arg is the sensor
+// count; CI runs the 100000-sensor point and feeds items_per_second into
+// tools/check_ticks_regression.sh, which divides it by BM_CalibrationKernel's
+// rate from the same process and fails the job on a >15% regression against
+// the committed baseline. Construction (deployment, discovery floods) is
+// excluded via manual timing: the guard covers the hot loop.
 //
 // Horizons shrink as the field grows so the 1M-sensor point stays tractable
 // on a laptop; ticks/sec is a rate, so the horizon only sets how much signal
@@ -251,13 +254,11 @@ BENCHMARK(BM_SensorNearestGrid)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_EndToEndTicks(benchmark::State& state) {
   const auto sensors = static_cast<std::size_t>(state.range(0));
-  const bool data_oriented = state.range(1) != 0;
   sensrep::core::SimulationConfig cfg;
   cfg.algorithm = sensrep::core::Algorithm::kFixedDistributed;  // no manager hub
   cfg.robots = sensors / 50;  // paper density: 50 sensors per robot
   cfg.seed = 2026;
   cfg.sim_duration = sensors >= 1000000 ? 20.0 : sensors >= 100000 ? 100.0 : 400.0;
-  cfg.field.data_oriented = data_oriented;
   std::uint64_t events = 0;
   for (auto _ : state) {
     sensrep::core::Simulation sim(cfg);
@@ -272,9 +273,61 @@ void BM_EndToEndTicks(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EndToEndTicks)
-    ->ArgsProduct({{10000, 100000, 1000000}, {0, 1}})
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// --- calibration kernel (E19) -------------------------------------------------
+//
+// A fixed workload that calls no sensrep code, shaped like the simulator's
+// hot loop: a binary-heap event queue of 4096 pending (time, node) events
+// whose pops update random records of a 16k-node (1 MB) array. Its steps/sec
+// measures how fast this machine — under whatever load it carries right
+// now — runs that kind of code, so check_ticks_regression.sh divides
+// BM_EndToEndTicks' ticks/sec by it and compares the quotient, not a raw
+// rate, with the committed baseline. The kernel is frozen: any change to it
+// (sizes, mix, RNG) invalidates bench/baselines/ticks_100k.txt, which must
+// then be re-measured on the previous commit.
+
+struct CalibrationNode {
+  std::uint64_t words[8];
+};
+
+void BM_CalibrationKernel(benchmark::State& state) {
+  constexpr std::uint32_t kNodes = 1U << 14;
+  constexpr std::size_t kPending = 1U << 12;
+  constexpr int kSteps = 1 << 23;
+  std::vector<CalibrationNode> nodes(kNodes);
+  std::uint64_t x = 2026;  // xorshift64
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  using Event = std::pair<double, std::uint32_t>;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  for (std::size_t i = 0; i < kPending; ++i) {
+    queue.emplace(static_cast<double>(next() % 1000), static_cast<std::uint32_t>(next() % kNodes));
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < kSteps; ++i) {
+      const auto [t, n] = queue.top();
+      queue.pop();
+      CalibrationNode& node = nodes[n];
+      node.words[0] += static_cast<std::uint64_t>(t);
+      node.words[next() & 7] ^= node.words[0];
+      queue.emplace(t + 1.0 + static_cast<double>(next() & 1023) / 64.0,
+                    static_cast<std::uint32_t>(next() % kNodes));
+    }
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(nodes.data());
+  state.SetItemsProcessed(state.iterations() * kSteps);
+}
+BENCHMARK(BM_CalibrationKernel)->Unit(benchmark::kMillisecond);
 
 // --- sharded ticks/sec scaling (E21) -----------------------------------------
 //
@@ -320,7 +373,7 @@ BENCHMARK(BM_ShardedTicks)
 
 // --- metrics-plane overhead ablation (E20) -----------------------------------
 //
-// The same end-to-end run as BM_EndToEndTicks (pooled hot path), with the
+// The same end-to-end run as BM_EndToEndTicks, with the
 // observability plane in its three states: 0 = registry disabled (the
 // default), 1 = registry enabled, 2 = registry + flight recorder. Every
 // instrumentation site is compiled in unconditionally — disabled mode pays
@@ -338,7 +391,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
   cfg.robots = sensors / 50;
   cfg.seed = 2026;
   cfg.sim_duration = sensors >= 1000000 ? 20.0 : sensors >= 100000 ? 100.0 : 400.0;
-  cfg.field.data_oriented = true;
   sensrep::obs::Metrics::reset();
   sensrep::obs::Metrics::enable(mode >= 1);
   if (mode >= 2) {
