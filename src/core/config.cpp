@@ -53,11 +53,6 @@ void SimulationConfig::validate() const {
   if (field.shards > 256) {
     throw std::invalid_argument("config: shards must be <= 256");
   }
-  if (field.shards > 1 && !field.data_oriented) {
-    throw std::invalid_argument(
-        "config: shards > 1 requires the data-oriented hot path "
-        "(tile workers read the flat last-beacon mirror)");
-  }
   if (field.shards > 1 && field.stale_beacon_count < 2) {
     // The sharded schedule advances in one-beacon-period windows; with a
     // staleness window of a single period a stamp refreshed inside the

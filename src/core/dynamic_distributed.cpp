@@ -27,8 +27,7 @@ void DynamicDistributedAlgorithm::initialize() {
     for (std::size_t s = 0; s < field.size(); ++s) {
       auto& sensor = field.node(static_cast<NodeId>(s));
       if (!sensor.alive() || sensor.myrobot() != kNoNode) continue;
-      // Squared-distance comparator, ties to the lowest index — identical
-      // whether answered by the fleet grid or the brute scan.
+      // Squared-distance comparator, ties to the lowest index.
       const auto nearest = nearest_robot_index(sensor.position());
       if (!nearest) continue;
       const NodeId best = robot_at(*nearest).id();

@@ -11,10 +11,6 @@ namespace sensrep::core {
 
 Simulation::Simulation(const SimulationConfig& config) : config_(config) {
   config_.validate();
-  // Must happen before the first schedule (nothing below schedules until the
-  // components construct): the legacy hot path keeps the map-backed event
-  // queue so old-vs-new equivalence runs compare whole simulations.
-  sim_.use_legacy_queue(!config_.field.data_oriented);
   sim::Rng master(config_.seed);
 
   // Robot fault tolerance: unless overridden, sensors age robot knowledge

@@ -25,20 +25,12 @@ namespace sensrep::sim {
 /// without touching the heap.
 class Simulator {
  public:
-  using Callback = EventQueue::Callback;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulation time (seconds).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// Pre-run switch to the legacy event-queue storage strategy (differential
-  /// testing, and the --legacy-hot-path escape hatch). Throws std::logic_error
-  /// once anything has been scheduled.
-  void use_legacy_queue(bool legacy) { queue_.set_legacy(legacy); }
-  [[nodiscard]] bool legacy_queue() const noexcept { return queue_.legacy(); }
 
   /// Schedules `cb` at absolute time `t`. Requires t >= now().
   template <typename F>

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "geometry/spatial_hash.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/log.hpp"
@@ -25,7 +24,8 @@ SensorField::SensorField(sim::Simulator& simulator, net::Medium& medium,
       policy_(&policy),
       log_(&log),
       config_(config),
-      rng_(rng) {
+      rng_(rng),
+      grid_(geometry::Rect{}, config.sensor_tx_range) {
   if (config.beacon_period <= 0.0) {
     throw std::invalid_argument("SensorField: beacon_period must be positive");
   }
@@ -51,32 +51,20 @@ void SensorField::deploy(const std::vector<Vec2>& positions) {
   last_beacon_soa_.assign(slots_.size(), 0.0);
 
   // Static sensor-sensor adjacency: sensors never move and replacements land
-  // on the same coordinates, so this graph is computed once. Both index
-  // structures use the same closed-ball d^2 <= r^2 predicate and return ids
-  // ascending, so the adjacency lists are identical either way.
+  // on the same coordinates, so this graph is computed once, from the
+  // closed-ball d^2 <= r^2 predicate with neighbors in ascending id order.
   adjacency_.resize(slots_.size());
-  if (config_.spatial_index && !slots_.empty()) {
-    geometry::Rect box{positions.front(), positions.front()};
-    for (const Vec2 p : positions) {
-      box.min = {std::min(box.min.x, p.x), std::min(box.min.y, p.y)};
-      box.max = {std::max(box.max.x, p.x), std::max(box.max.y, p.y)};
-    }
-    grid_.emplace(box, config_.sensor_tx_range);
-    for (const auto& s : slots_) grid_->insert(s->id(), s->position());
-    for (const auto& s : slots_) {
-      auto& adj = adjacency_[s->id()];
-      for (const NodeId m : grid_->within_radius(s->position(), config_.sensor_tx_range)) {
-        if (m == s->id()) continue;
-        adj.push_back({m, slots_[m]->position()});
-      }
-    }
-    return;
+  if (slots_.empty()) return;
+  geometry::Rect box{positions.front(), positions.front()};
+  for (const Vec2 p : positions) {
+    box.min = {std::min(box.min.x, p.x), std::min(box.min.y, p.y)};
+    box.max = {std::max(box.max.x, p.x), std::max(box.max.y, p.y)};
   }
-  geometry::SpatialHash index(config_.sensor_tx_range);
-  for (const auto& s : slots_) index.upsert(s->id(), s->position());
+  grid_ = spatial::UniformGrid2D<NodeId>(box, config_.sensor_tx_range);
+  for (const auto& s : slots_) grid_.insert(s->id(), s->position());
   for (const auto& s : slots_) {
     auto& adj = adjacency_[s->id()];
-    for (const NodeId m : index.query_ball(s->position(), config_.sensor_tx_range)) {
+    for (const NodeId m : grid_.within_radius(s->position(), config_.sensor_tx_range)) {
       if (m == s->id()) continue;
       adj.push_back({m, slots_[m]->position()});
     }
@@ -84,20 +72,14 @@ void SensorField::deploy(const std::vector<Vec2>& positions) {
 }
 
 std::vector<NodeId> SensorField::slots_within(Vec2 center, double range) const {
+  // Candidate cells are a superset of the ball; the exact predicate below is
+  // the same sqrt-form comparison a brute scan runs, so the accepted set
+  // matches one bit for bit. Candidates arrive cell-major, hence the sort.
   std::vector<NodeId> out;
-  if (grid_) {
-    // Candidate cells are a superset of the ball; the exact predicate below
-    // is the same sqrt-form comparison the brute path runs, so the accepted
-    // set matches bit for bit. Candidates arrive cell-major, hence the sort.
-    grid_->for_each_candidate(center, range, [&](NodeId id, Vec2 pos) {
-      if (geometry::distance(pos, center) <= range) out.push_back(id);
-    });
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  for (const auto& s : slots_) {
-    if (geometry::distance(s->position(), center) <= range) out.push_back(s->id());
-  }
+  grid_.for_each_candidate(center, range, [&](NodeId id, Vec2 pos) {
+    if (geometry::distance(pos, center) <= range) out.push_back(id);
+  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -171,14 +153,12 @@ const std::vector<routing::NeighborEntry>& SensorField::static_neighbors(NodeId 
 
 sim::SimTime SensorField::last_beacon(NodeId id) const {
   if (!is_sensor(id)) return sim::kNever;
-  if (config_.data_oriented) return last_beacon_soa_[id];
-  return slots_[id]->last_beacon();
+  return last_beacon_soa_[id];
 }
 
 bool SensorField::slot_alive(NodeId id) const {
   if (!is_sensor(id)) return false;
-  if (config_.data_oriented) return alive_soa_[id] != 0;
-  return slots_[id]->alive();
+  return alive_soa_[id] != 0;
 }
 
 void SensorField::fail_slot(NodeId slot) {
@@ -314,14 +294,9 @@ void SensorField::note_unreported(NodeId slot) {
 }
 
 std::size_t SensorField::alive_count() const noexcept {
-  if (config_.data_oriented) {
-    // Batched pass over the flat alive bits — one cache line covers 64 slots.
-    std::size_t n = 0;
-    for (const std::uint8_t a : alive_soa_) n += a;
-    return n;
-  }
+  // Batched pass over the flat alive bits — one cache line covers 64 slots.
   std::size_t n = 0;
-  for (const auto& s : slots_) n += s->alive() ? 1 : 0;
+  for (const std::uint8_t a : alive_soa_) n += a;
   return n;
 }
 

@@ -323,12 +323,12 @@ void SensorNode::commit_quiet_tick(sim::SimTime t) {
 
 void SensorNode::age_robot_knowledge(sim::SimTime now) {
   const double window = field_->config().robot_stale_window;
-  // Batched aging (spatial_index): robots_heard_floor_ is a lower bound on
-  // every entry's heard_at, so while the *oldest possible* entry is still
-  // inside the window the scan can expire nothing — skip it. heard_at only
-  // rises between scans, which keeps the bound conservative; a full scan
+  // Batched aging: robots_heard_floor_ is a lower bound on every entry's
+  // heard_at, so while the *oldest possible* entry is still inside the
+  // window the scan can expire nothing — skip it. heard_at only rises
+  // between scans, which keeps the bound conservative; a full scan
   // re-tightens it to the exact minimum.
-  if (field_->config().spatial_index && robots_heard_floor_ + window >= now) return;
+  if (robots_heard_floor_ + window >= now) return;
   bool dropped_myrobot = false;
   sim::SimTime floor = sim::kNever;
   // In-place compaction over the flat table: one contiguous pass, keeping

@@ -180,7 +180,7 @@ class SensorNode {
   // Lower bound on min(heard_at) over known_robots_ (+inf when empty).
   // Entries only get fresher between scans, so while floor + window >= now
   // nothing can have expired and age_robot_knowledge() may skip its scan
-  // entirely (the spatial_index batched-aging fast path).
+  // entirely (the batched-aging fast path).
   sim::SimTime robots_heard_floor_ = sim::kNever;
   std::unordered_map<net::NodeId, std::uint32_t> relayed_seq_;
   // Neighborhood-watch dedup: the neighbor's last-beacon timestamp at the

@@ -81,8 +81,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Euclidean distance, exact ties to the lowest robot id, presumed-dead
 // robots excluded, nullptr when the whole fleet is presumed dead — and a
 // robot repaired mid-simulation is eligible again the instant its rejoin
-// runs, not at the next supervision sweep. Pinned for both the uniform-grid
-// index and the brute-force scan, which must agree bit for bit.
+// runs, not at the next supervision sweep. The grid-backed query must agree
+// with a brute-force scan bit for bit; spatial_test.cpp's randomized
+// property suite holds it to that.
 
 /// Minimal concrete algorithm exposing the protected selection/lease layer.
 class ProbeAlgorithm final : public CoordinationAlgorithm {
@@ -101,12 +102,11 @@ class ProbeAlgorithm final : public CoordinationAlgorithm {
   using CoordinationAlgorithm::refresh_lease;
 };
 
-class ClosestLiveRobot : public ::testing::TestWithParam<bool> {
+class ClosestLiveRobot : public ::testing::Test {
  protected:
   ClosestLiveRobot() : medium_(sim_, sim::Rng(3), net::RadioConfig{}, counters_, 63.0) {
     cfg_.robots = 4;
     cfg_.sensors_per_robot = 0;  // robot ids start at 0; no sensor traffic
-    cfg_.field.spatial_index = GetParam();
     cfg_.robot_faults.mtbf = 1.0e12;  // enables the lease machinery; no injector
     wsn::FieldConfig fc;
     fc.spontaneous_failures = false;
@@ -150,7 +150,7 @@ class ClosestLiveRobot : public ::testing::TestWithParam<bool> {
   std::vector<std::unique_ptr<robot::RobotNode>> robots_;
 };
 
-TEST_P(ClosestLiveRobot, ExactDistanceTieGoesToTheLowestId) {
+TEST_F(ClosestLiveRobot, ExactDistanceTieGoesToTheLowestId) {
   // d((0,0), robot 0) == d((0,0), robot 1) == 50 exactly.
   auto* best = probe_.closest_live_robot({0.0, 0.0});
   ASSERT_NE(best, nullptr);
@@ -161,7 +161,7 @@ TEST_P(ClosestLiveRobot, ExactDistanceTieGoesToTheLowestId) {
   EXPECT_EQ(probe_.nearest_robot_index({0.0, 0.0}).value(), 0u);
 }
 
-TEST_P(ClosestLiveRobot, PresumedDeadRobotsAreExcluded) {
+TEST_F(ClosestLiveRobot, PresumedDeadRobotsAreExcluded) {
   probe_.start_fault_tolerance();
   refresh_all_but({0});
   sim_.run_until(250.0);  // window = 3 x 60 s; sweep at 240 s expires robot 0
@@ -173,14 +173,14 @@ TEST_P(ClosestLiveRobot, PresumedDeadRobotsAreExcluded) {
   EXPECT_EQ(probe_.nearest_robot_index({0.0, 0.0}).value(), 0u);
 }
 
-TEST_P(ClosestLiveRobot, AllDeadFleetYieldsNullptr) {
+TEST_F(ClosestLiveRobot, AllDeadFleetYieldsNullptr) {
   probe_.start_fault_tolerance();
   sim_.run_until(250.0);  // nobody refreshes: the whole fleet expires
   for (std::size_t i = 0; i < 4; ++i) ASSERT_TRUE(probe_.presumed_dead(i));
   EXPECT_EQ(probe_.closest_live_robot({0.0, 0.0}), nullptr);
 }
 
-TEST_P(ClosestLiveRobot, RevivedRobotIsEligibleAgainTheSameTick) {
+TEST_F(ClosestLiveRobot, RevivedRobotIsEligibleAgainTheSameTick) {
   probe_.start_fault_tolerance();
   sim_.run_until(250.0);
   ASSERT_EQ(probe_.closest_live_robot({0.0, 0.0}), nullptr);
@@ -192,7 +192,7 @@ TEST_P(ClosestLiveRobot, RevivedRobotIsEligibleAgainTheSameTick) {
   EXPECT_EQ(best->id(), 1u);
 }
 
-TEST_P(ClosestLiveRobot, SupervisionKeepsWatchingARevivedRobot) {
+TEST_F(ClosestLiveRobot, SupervisionKeepsWatchingARevivedRobot) {
   // Regression pin for the batched sweep's lease floor: after the whole
   // fleet expires the floor rises to +inf, and a later repair must pull it
   // back down — otherwise the sweep would skip forever and a silent reborn
@@ -205,11 +205,6 @@ TEST_P(ClosestLiveRobot, SupervisionKeepsWatchingARevivedRobot) {
   EXPECT_TRUE(probe_.presumed_dead(1));
   EXPECT_EQ(probe_.closest_live_robot({0.0, 0.0}), nullptr);
 }
-
-INSTANTIATE_TEST_SUITE_P(GridAndBrute, ClosestLiveRobot, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& tpi) {
-                           return tpi.param ? "spatial_index" : "brute_force";
-                         });
 
 }  // namespace
 }  // namespace sensrep::core

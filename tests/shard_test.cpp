@@ -393,9 +393,6 @@ TEST(ShardConfig, ValidateRejectsUnshardableConfigs) {
   cfg.field.shards = 257;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.field.shards = 4;
-  cfg.field.data_oriented = false;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.field.data_oriented = true;
   cfg.field.stale_beacon_count = 1;  // breaks the frozen-verdict guarantee
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.field.stale_beacon_count = 3;

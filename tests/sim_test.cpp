@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -72,7 +73,7 @@ TEST(EventQueueTest, RejectsInvalidTimeAndNullCallback) {
   EventQueue q;
   EXPECT_THROW(q.schedule(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(q.schedule(kNever, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule(1.0, EventQueue::Callback{}), std::invalid_argument);
+  EXPECT_THROW(q.schedule(1.0, std::function<void()>{}), std::invalid_argument);
 }
 
 // Regression: cancel() used to leave its HeapEntry behind forever, so a
