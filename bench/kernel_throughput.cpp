@@ -266,7 +266,7 @@ void BM_EndToEndTicks(benchmark::State& state) {
     sim.run();
     const auto stop = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
-    events += sim.simulator().executed();
+    events += sim.events_executed();
   }
   benchmark::DoNotOptimize(events);
   // items_per_second == executed events / timed wall seconds == ticks/sec.
@@ -358,7 +358,7 @@ void BM_ShardedTicks(benchmark::State& state) {
     sim.run();
     const auto stop = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
-    events += sim.simulator().executed();
+    events += sim.events_executed();
   }
   benchmark::DoNotOptimize(events);
   // items_per_second == executed-equivalent events / wall second; identical
@@ -406,7 +406,7 @@ void BM_MetricsOverhead(benchmark::State& state) {
     sim.run();
     const auto stop = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
-    events += sim.simulator().executed();
+    events += sim.events_executed();
   }
   benchmark::DoNotOptimize(events);
   state.SetItemsProcessed(static_cast<std::int64_t>(events));

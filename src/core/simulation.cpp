@@ -189,14 +189,23 @@ bool Simulation::inject_robot_repair(std::size_t index) {
   return true;
 }
 
+std::uint64_t Simulation::events_executed() const noexcept {
+  return sim_.executed() + medium_->batched_executed();
+}
+
+std::uint64_t Simulation::pending_events() const noexcept {
+  // Armed tick series live in tile tickers under sharding; the sequential
+  // schedule keeps one pending queue event per series, so add them back for
+  // a shard-count-invariant count.
+  return sim_.pending() + medium_->batched_pending() +
+         (driver_ ? driver_->armed_count() : 0);
+}
+
 StateDigest Simulation::digest() const {
   StateDigest d;
   d.clock = sim_.now();
-  d.events_executed = sim_.executed();
-  // Armed tick series live in tile tickers under sharding; the sequential
-  // schedule keeps one pending queue event per series, so add them back for
-  // a shard-count-invariant digest.
-  d.pending_events = sim_.pending() + (driver_ ? driver_->armed_count() : 0);
+  d.events_executed = events_executed();
+  d.pending_events = pending_events();
   d.failures = log_.size();
   d.repaired = log_.repaired_count();
   const auto& faults = algo_->fault_stats();

@@ -133,6 +133,18 @@ class Simulation {
   /// Deterministic state fingerprint at the current virtual time.
   [[nodiscard]] StateDigest digest() const;
 
+  /// Events executed so far, one per reception and per beacon tick whatever
+  /// batches them: the queue's count plus the receptions that shared a
+  /// broadcast's fan-out event (sharded ticks are already credited to the
+  /// Simulator). StateDigest::events_executed.
+  [[nodiscard]] std::uint64_t events_executed() const noexcept;
+
+  /// Events pending, counted the same way: queue events, plus receptions
+  /// riding in fan-outs behind their first receiver, plus the tick series
+  /// armed in shard tiles. StateDigest::pending_events and the
+  /// pending_events telemetry gauge.
+  [[nodiscard]] std::uint64_t pending_events() const noexcept;
+
   // --- external event injection (service mode; see docs/SERVICE.md) ---------
   //
   // These are the daemon's ingestion points: they apply an event *now*, at

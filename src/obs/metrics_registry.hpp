@@ -57,7 +57,7 @@ enum class Gauge : std::uint16_t {
   kAliveSensors,      // set at telemetry tick
   kLiveRobots,        // set at telemetry tick
   kOpenFailures,      // set at telemetry tick
-  kPendingEvents,     // set at telemetry tick (EventQueue::size)
+  kPendingEvents,     // set at telemetry tick (Simulation::pending_events)
   kEventPoolSlots,    // set when the pooled queue grows a chunk
   kSimClock,          // virtual-clock seconds, set at telemetry tick
   kCount,

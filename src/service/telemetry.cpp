@@ -185,7 +185,7 @@ void TelemetryExporter::tick() {
   obs::Metrics::set_gauge(obs::Gauge::kOpenFailures,
                           static_cast<double>(s.open_failures));
   obs::Metrics::set_gauge(obs::Gauge::kPendingEvents,
-                          static_cast<double>(sim_.simulator().pending()));
+                          static_cast<double>(sim_.pending_events()));
   obs::Metrics::set_gauge(obs::Gauge::kSimClock, s.t);
   if (options_.retention_window > 0.0) {
     const double cutoff = s.t - options_.retention_window;

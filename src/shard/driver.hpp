@@ -66,7 +66,7 @@ class ShardedDriver final : public wsn::TickDriver {
 
   /// Armed tick series currently resident in tile tickers. The sequential
   /// schedule keeps exactly one pending queue event per armed series, so
-  /// StateDigest::pending_events = Simulator::pending() + armed_count().
+  /// Simulation::pending_events() adds armed_count() back.
   [[nodiscard]] std::size_t armed_count() const noexcept { return armed_ - bridged_; }
 
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }

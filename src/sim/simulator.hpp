@@ -102,10 +102,15 @@ class Simulator {
   /// the interrupt probe fired (reset at the start of each run_* call).
   [[nodiscard]] bool interrupted() const noexcept { return interrupted_; }
 
-  /// Live pending events (diagnostics).
+  /// Live pending queue events (diagnostics). A broadcast's receptions
+  /// share one queue event (net::Medium fan-outs), so this is not a
+  /// per-reception count; core::Simulation::pending_events() is.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
-  /// Total events executed since construction (diagnostics).
+  /// Queue events executed since construction, plus the events credited via
+  /// note_external_executed() (diagnostics). Like pending(), counts a
+  /// broadcast fan-out once; core::Simulation::events_executed() counts one
+  /// per reception.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Timestamp of the earliest pending event. Requires pending() > 0. The

@@ -22,6 +22,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/simulation.hpp"
 #include "metrics/counters.hpp"
 #include "obs/exporters.hpp"
 #include "obs/flight_recorder.hpp"
@@ -253,6 +254,37 @@ TEST(Exporters, InfluxFileSinkWritesOnTick) {
                   std::istreambuf_iterator<char>());
   EXPECT_NE(all.find("sensrep_counter,name=adoptions value=1i 2000000000\n"),
             std::string::npos);
+}
+
+TEST(Exporters, PendingEventsGaugeMatchesDigestAtOneAndTwoShards) {
+  // The gauge and StateDigest::pending_events read one count: queue events
+  // plus broadcast receptions batched into fan-outs plus tick series armed
+  // in shard tiles. The digest is shard-count invariant, so the gauge is too.
+  MetricsGuard guard;
+  std::vector<std::vector<double>> series;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    core::SimulationConfig cfg;
+    cfg.algorithm = core::Algorithm::kFixedDistributed;
+    cfg.robots = 4;
+    cfg.seed = 3;
+    cfg.sim_duration = 600.0;
+    cfg.field.shards = shards;
+    core::Simulation sim(cfg);
+    service::TelemetryExporter exporter(sim, {.period = 50.0});
+    std::vector<double> gauges;
+    exporter.set_line_sink([&](const std::string&) {
+      const double gauge =
+          Metrics::snapshot().gauges[static_cast<std::size_t>(Gauge::kPendingEvents)];
+      EXPECT_EQ(gauge, static_cast<double>(sim.digest().pending_events))
+          << "shards=" << shards << " t=" << sim.simulator().now();
+      gauges.push_back(gauge);
+    });
+    exporter.start();
+    sim.run();
+    EXPECT_EQ(gauges.size(), 12u);
+    series.push_back(std::move(gauges));
+  }
+  EXPECT_EQ(series[0], series[1]);
 }
 
 // ---------------------------------------------------------------------------

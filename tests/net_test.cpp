@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "core/simulation.hpp"
 #include "metrics/counters.hpp"
 #include "net/medium.hpp"
 #include "net/packet.hpp"
@@ -243,6 +244,132 @@ TEST_F(MediumTest, SerializationDelayGrowsWithPacketSize) {
   EXPECT_NEAR(small_delay, static_cast<double>(small.size_bytes()) * 8.0 / 11e6, 1e-12);
   EXPECT_NEAR(big_delay, static_cast<double>(big.size_bytes()) * 8.0 / 11e6, 1e-12);
   EXPECT_GT(big_delay, small_delay);
+}
+
+// --- Fan-out delivery ------------------------------------------------------------
+//
+// A broadcast's receptions share one queue event (all receivers hear the
+// frame at the same instant). It must behave as one event per reception:
+// per-reception event counts, liveness re-checked at each delivery, nothing
+// interleaving inside the group, neighbor order, and per-receiver collision
+// windows.
+
+TEST_F(MediumTest, FanOutCountsOneEventPerReception) {
+  medium_.attach(1, {0, 0}, 50.0, {});
+  for (NodeId id = 2; id <= 5; ++id) medium_.attach(id, {5.0 * id, 0}, 50.0, {});
+  const auto k = medium_.neighbors_of(1).size();
+  ASSERT_EQ(k, 4u);
+
+  medium_.broadcast(1, beacon(1));
+  EXPECT_EQ(sim_.pending(), 1u);  // one queue event for the whole fan-out
+  EXPECT_EQ(sim_.pending() + medium_.batched_pending(), k);
+  sim_.run_all();
+  EXPECT_EQ(sim_.executed(), 1u);
+  EXPECT_EQ(sim_.executed() + medium_.batched_executed(), k);
+  EXPECT_EQ(medium_.batched_pending(), 0u);
+  EXPECT_EQ(medium_.deliveries(), k);
+}
+
+TEST(MediumFanOutTest, DigestCountsEachReceptionWhileInFlight) {
+  core::SimulationConfig cfg;
+  cfg.algorithm = core::Algorithm::kFixedDistributed;
+  cfg.robots = 4;
+  cfg.seed = 5;
+  cfg.sim_duration = 400.0;
+  core::Simulation sim(cfg);
+  sim.run_until(100.0);
+  const net::NodeId robot = cfg.robot_id(0);
+  const auto k = sim.medium().neighbors_of(robot).size();
+  ASSERT_GT(k, 1u);
+
+  const core::StateDigest before = sim.digest();
+  Packet p;
+  p.type = PacketType::kBeacon;
+  p.src = robot;
+  sim.medium().broadcast(robot, p);
+  const core::StateDigest in_flight = sim.digest();
+  EXPECT_EQ(in_flight.pending_events, before.pending_events + k);
+  EXPECT_EQ(in_flight.events_executed, before.events_executed);
+  sim.run_until(100.01);  // serialization + max 2 ms backoff
+  EXPECT_GE(sim.digest().events_executed, before.events_executed + k);
+}
+
+TEST_F(MediumTest, ReceiverKilledEarlierInTheFanOutGetsNothing) {
+  Rx second;
+  std::vector<NodeId> order;
+  medium_.attach(1, {0, 0}, 50.0, {});
+  medium_.attach(2, {10, 0}, 50.0, [&](const Packet&, NodeId) {
+    order.push_back(2);
+    medium_.set_alive(3, false);  // dies after the frame left, before it lands
+  });
+  medium_.attach(3, {20, 0}, 50.0, second.fn());
+  medium_.attach(4, {30, 0}, 50.0, [&](const Packet&, NodeId) { order.push_back(4); });
+  medium_.broadcast(1, beacon(1));
+  sim_.run_all();
+  EXPECT_TRUE(second.got.empty());
+  EXPECT_EQ(order, (std::vector<NodeId>{2, 4}));
+  // The dead receiver's reception still counts as an executed event.
+  EXPECT_EQ(sim_.executed() + medium_.batched_executed(), 3u);
+}
+
+TEST_F(MediumTest, EventScheduledByAReceiverRunsAfterTheWholeFanOut) {
+  std::vector<int> order;
+  medium_.attach(1, {0, 0}, 50.0, {});
+  medium_.attach(2, {10, 0}, 50.0, [&](const Packet&, NodeId) {
+    order.push_back(2);
+    sim_.in(0.0, [&] { order.push_back(-1); });  // same instant as the fan-out
+  });
+  medium_.attach(3, {20, 0}, 50.0, [&](const Packet&, NodeId) { order.push_back(3); });
+  medium_.attach(4, {30, 0}, 50.0, [&](const Packet&, NodeId) { order.push_back(4); });
+  medium_.broadcast(1, beacon(1));
+  sim_.run_all();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4, -1}));
+}
+
+TEST_F(MediumTest, FanOutDeliversInNeighborOrder) {
+  std::vector<NodeId> order;
+  auto record = [&order](NodeId self) {
+    return [&order, self](const Packet&, NodeId) { order.push_back(self); };
+  };
+  medium_.attach(6, {0, 0}, 50.0, {});
+  // Attached out of id order, at positions out of id order.
+  for (const NodeId id : {9u, 3u, 12u, 5u, 1u}) {
+    medium_.attach(id, {40.0 - 3.0 * id, 0}, 50.0, record(id));
+  }
+  const std::vector<NodeId> neighbors = medium_.neighbors_of(6);
+  medium_.broadcast(6, beacon(6));
+  sim_.run_all();
+  EXPECT_EQ(order, neighbors);
+  EXPECT_EQ(order.size(), 5u);
+}
+
+TEST(MediumFanOutTest, CollisionCorruptsOnlyTheOverlappedReceivers) {
+  sim::Simulator sim;
+  metrics::TransmissionCounters counters;
+  RadioConfig cfg;
+  cfg.model_collisions = true;
+  cfg.max_backoff_s = 0.0;  // both frames on air over the same interval
+  Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  std::vector<int> got(5, 0);
+  auto count = [&got](NodeId self) {
+    return [&got, self](const Packet&, NodeId) { ++got[self]; };
+  };
+  // Sender 1 reaches 2, 3 and 4; sender 2 reaches 1 and 3 but not 4 (80 m).
+  medium.attach(1, {0, 0}, 50.0, count(1));
+  medium.attach(2, {40, 0}, 50.0, count(2));
+  medium.attach(3, {10, 0}, 50.0, count(3));
+  medium.attach(4, {-40, 0}, 50.0, count(4));
+  Packet p;
+  p.type = PacketType::kBeacon;
+  p.dst = kBroadcastId;
+  medium.broadcast(1, p);
+  medium.broadcast(2, p);
+  sim.run_all();
+  EXPECT_EQ(got[3], 0);  // the only receiver in both frames' fan-outs
+  EXPECT_EQ(got[1], 1);
+  EXPECT_EQ(got[2], 1);
+  EXPECT_EQ(got[4], 1);
+  EXPECT_EQ(medium.collisions(), 2u);
 }
 
 // --- Loss model ---------------------------------------------------------------
