@@ -329,48 +329,6 @@ void BM_CalibrationKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_CalibrationKernel)->Unit(benchmark::kMillisecond);
 
-// --- sharded ticks/sec scaling (E21) -----------------------------------------
-//
-// The same end-to-end run as BM_EndToEndTicks, executed through the spatially
-// sharded schedule at 1, 2 and 4 tiles (args: sensors, shards). shards=1 is
-// the sequential baseline; the bitwise equivalence oracle in
-// tests/shard_test.cpp guarantees every row computes the identical
-// simulation, so the /1 vs /2 vs /4 spread is pure scheduling overhead or
-// speedup. The beacon tick sweeps dominate the event mix at these scales,
-// and those are exactly what the tile workers parallelize; everything else
-// (deliveries, repairs) stays serial at the barriers, so this is an Amdahl
-// curve, not a linear one. Run on a multi-core box — a 1-core container
-// serializes the pool and reports the barrier overhead alone.
-
-void BM_ShardedTicks(benchmark::State& state) {
-  const auto sensors = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  sensrep::core::SimulationConfig cfg;
-  cfg.algorithm = sensrep::core::Algorithm::kFixedDistributed;  // no manager hub
-  cfg.robots = sensors / 50;  // paper density: 50 sensors per robot
-  cfg.seed = 2026;
-  cfg.sim_duration = sensors >= 1000000 ? 20.0 : sensors >= 100000 ? 100.0 : 400.0;
-  cfg.field.shards = shards;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    sensrep::core::Simulation sim(cfg);
-    const auto start = std::chrono::steady_clock::now();
-    sim.run();
-    const auto stop = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
-    events += sim.events_executed();
-  }
-  benchmark::DoNotOptimize(events);
-  // items_per_second == executed-equivalent events / wall second; identical
-  // event counts across shard counts (the oracle pins them), so rates are
-  // directly comparable.
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedTicks)
-    ->ArgsProduct({{100000, 1000000}, {1, 2, 4}})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
 // --- metrics-plane overhead ablation (E20) -----------------------------------
 //
 // The same end-to-end run as BM_EndToEndTicks, with the

@@ -5,7 +5,6 @@
 
 #include "geometry/voronoi.hpp"
 #include "obs/flight_recorder.hpp"
-#include "shard/robot_ledger.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "trace/log.hpp"
@@ -173,9 +172,6 @@ void CoordinationAlgorithm::on_robot_moved(robot::RobotNode& robot) {
   if (robot_grid_) {
     robot_grid_->move(static_cast<std::uint32_t>(index), robot.position());
   }
-  // Sharded runs: robot movement executes at tick barriers only, so the
-  // tile hand-off (and its conservation invariant) is maintained here.
-  if (robot_ledger_) robot_ledger_->on_robot_moved(index, robot.position());
 }
 
 void CoordinationAlgorithm::ensure_robot_grid() {

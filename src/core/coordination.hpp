@@ -18,10 +18,6 @@
 #include "wsn/sensor_field.hpp"
 #include "wsn/sensor_policy.hpp"
 
-namespace sensrep::shard {
-class RobotLedger;
-}
-
 namespace sensrep::core {
 
 /// Everything a coordination algorithm needs to reach at runtime. All
@@ -85,11 +81,6 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// Opens/closes report/dispatch spans on `tracer` (nullptr detaches). The
   /// tracer must outlive the algorithm.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Streams robot position updates into the sharded driver's tile-ownership
-  /// ledger (nullptr detaches). The ledger must outlive the algorithm; only
-  /// installed when FieldConfig::shards > 1.
-  void set_robot_ledger(shard::RobotLedger* ledger) noexcept { robot_ledger_ = ledger; }
 
   /// RobotPolicy: anticipatory repositioning (config().idle_reposition,
   /// extension E12) — an idle robot returns to its region's centroid.
@@ -237,7 +228,6 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   double init_motion_ = 0.0;
   trace::EventLog* event_log_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  shard::RobotLedger* robot_ledger_ = nullptr;
   FaultStats fault_stats_;
 
  private:

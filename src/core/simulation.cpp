@@ -50,17 +50,6 @@ Simulation::Simulation(const SimulationConfig& config) : config_(config) {
         config_.robot_id(i), robot_positions[i], rc, sim_, *medium_, *field_, *algo_));
   }
 
-  // Spatial sharding: the driver must exist before field_->start() arms the
-  // beacon clocks (they route through it) and before any robot moves (the
-  // tile-ownership ledger tracks hand-offs from the deployment positions on).
-  if (config_.field.shards > 1) {
-    driver_ = std::make_unique<shard::ShardedDriver>(
-        sim_, *medium_, *field_, config_.field_area(), config_.field.shards);
-    driver_->ledger().reset(robot_positions);
-    field_->set_tick_driver(driver_.get());
-    algo_->set_robot_ledger(&driver_->ledger());
-  }
-
   SystemContext ctx;
   ctx.simulator = &sim_;
   ctx.medium = medium_.get();
@@ -148,13 +137,7 @@ void Simulation::attach_tracer(obs::Tracer& tracer) {
   for (auto& r : robots_) r->set_tracer(&tracer);
 }
 
-void Simulation::run_until(sim::SimTime t) {
-  if (driver_) {
-    driver_->run_until(t);
-  } else {
-    sim_.run_until(t);
-  }
-}
+void Simulation::run_until(sim::SimTime t) { sim_.run_until(t); }
 
 bool Simulation::inject_sensor_failure(net::NodeId slot) {
   if (!field_->is_sensor(slot)) {
@@ -194,11 +177,7 @@ std::uint64_t Simulation::events_executed() const noexcept {
 }
 
 std::uint64_t Simulation::pending_events() const noexcept {
-  // Armed tick series live in tile tickers under sharding; the sequential
-  // schedule keeps one pending queue event per series, so add them back for
-  // a shard-count-invariant count.
-  return sim_.pending() + medium_->batched_pending() +
-         (driver_ ? driver_->armed_count() : 0);
+  return sim_.pending() + medium_->batched_pending();
 }
 
 StateDigest Simulation::digest() const {

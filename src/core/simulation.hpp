@@ -12,7 +12,6 @@
 #include "metrics/failure_log.hpp"
 #include "net/medium.hpp"
 #include "robot/robot.hpp"
-#include "shard/driver.hpp"
 #include "sim/simulator.hpp"
 #include "wsn/sensor_field.hpp"
 
@@ -135,14 +134,12 @@ class Simulation {
 
   /// Events executed so far, one per reception and per beacon tick whatever
   /// batches them: the queue's count plus the receptions that shared a
-  /// broadcast's fan-out event (sharded ticks are already credited to the
-  /// Simulator). StateDigest::events_executed.
+  /// broadcast's fan-out event. StateDigest::events_executed.
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
 
-  /// Events pending, counted the same way: queue events, plus receptions
-  /// riding in fan-outs behind their first receiver, plus the tick series
-  /// armed in shard tiles. StateDigest::pending_events and the
-  /// pending_events telemetry gauge.
+  /// Events pending, counted the same way: queue events plus receptions
+  /// riding in fan-outs behind their first receiver.
+  /// StateDigest::pending_events and the pending_events telemetry gauge.
   [[nodiscard]] std::uint64_t pending_events() const noexcept;
 
   // --- external event injection (service mode; see docs/SERVICE.md) ---------
@@ -191,11 +188,6 @@ class Simulation {
     return counters_;
   }
 
-  /// The sharded tick driver, or nullptr on the stock single-shard schedule
-  /// (FieldConfig::shards == 1). Tests reach through this for window stats
-  /// and the robot tile-ownership ledger.
-  [[nodiscard]] shard::ShardedDriver* shard_driver() noexcept { return driver_.get(); }
-
  private:
   /// Fault injection: kills robot `index` (no-op if already dead) and, with
   /// a finite MTTR, draws and schedules its repair.
@@ -213,7 +205,6 @@ class Simulation {
   std::unique_ptr<net::Medium> medium_;
   std::unique_ptr<CoordinationAlgorithm> algo_;
   std::unique_ptr<wsn::SensorField> field_;
-  std::unique_ptr<shard::ShardedDriver> driver_;  // shards > 1 only
   std::vector<std::unique_ptr<robot::RobotNode>> robots_;
 
   // Fault-model RNG streams, seeded only when the respective model is on so

@@ -107,23 +107,13 @@ class Simulator {
   /// per-reception count; core::Simulation::pending_events() is.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
-  /// Queue events executed since construction, plus the events credited via
-  /// note_external_executed() (diagnostics). Like pending(), counts a
-  /// broadcast fan-out once; core::Simulation::events_executed() counts one
-  /// per reception.
+  /// Queue events executed since construction (diagnostics). Like
+  /// pending(), counts a broadcast fan-out once;
+  /// core::Simulation::events_executed() counts one per reception.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Timestamp of the earliest pending event. Requires pending() > 0. The
-  /// sharded driver (src/shard) uses this to bound its parallel tick windows
-  /// so no global event ever executes mid-window.
+  /// Timestamp of the earliest pending event. Requires pending() > 0.
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
-
-  /// Credits events executed outside the queue on the engine's behalf. The
-  /// sharded driver runs per-sensor beacon ticks on tile workers and merges
-  /// the counts back at its barriers, keeping executed() — and therefore
-  /// StateDigest::events_executed — bitwise identical to the single-shard
-  /// schedule that would have run the same ticks in-queue.
-  void note_external_executed(std::uint64_t n) noexcept { executed_ += n; }
 
  private:
   struct PeriodicState {

@@ -108,21 +108,14 @@ void SensorField::start() {
 
 void SensorField::activate_clocks(SensorNode& n) {
   // Beacon phase is drawn per activation so replacement units do not stay
-  // synchronized with their predecessors. The draw happens before the
-  // tick-driver branch so both schedules consume the identical RNG stream.
+  // synchronized with their predecessors.
   const double phase = rng_.uniform(0.0, config_.beacon_period);
-  if (tick_driver_) {
-    // Sharded: the driver owns the series. Same fire times as the in-queue
-    // schedule below — first at now+phase, then every beacon_period.
-    tick_driver_->arm_tick(n.id(), sim_->now() + phase, config_.beacon_period);
-  } else {
-    SensorNode* node_ptr = &n;
-    n.tick_timer_ = sim_->in(phase, [this, node_ptr] {
-      node_ptr->tick();
-      node_ptr->tick_timer_ =
-          sim_->every(config_.beacon_period, [node_ptr] { node_ptr->tick(); });
-    });
-  }
+  SensorNode* node_ptr = &n;
+  n.tick_timer_ = sim_->in(phase, [this, node_ptr] {
+    node_ptr->tick();
+    node_ptr->tick_timer_ =
+        sim_->every(config_.beacon_period, [node_ptr] { node_ptr->tick(); });
+  });
   schedule_lifetime(n);
 }
 

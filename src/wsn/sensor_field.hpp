@@ -70,32 +70,6 @@ struct FieldConfig {
   /// ever reported. Neighborhood watch trades duplicate reports (deduped at
   /// the robots) for detection that heals holes inward from the rim.
   bool neighborhood_watch = false;
-
-  /// Spatial sharding (src/shard): partition the field into this many
-  /// grid-aligned column tiles and run each tile's beacon ticks on its own
-  /// worker between deterministic barriers. 1 = the stock single-shard
-  /// schedule (the equivalence baseline). The tile workers read the flat
-  /// last-beacon mirror, never SensorNode pointers of foreign tiles. See
-  /// docs/SHARDING.md.
-  std::size_t shards = 1;
-};
-
-/// Hand-off point between the field and the sharded tick scheduler
-/// (shard::ShardedDriver). When installed, per-sensor beacon tick series are
-/// armed here instead of in the simulator's event queue; the driver fires
-/// them tile-parallel between barriers and keeps executed/pending accounting
-/// identical to the in-queue schedule.
-class TickDriver {
- public:
-  virtual ~TickDriver() = default;
-
-  /// Takes over `slot`'s beacon series: first fire at absolute time `first`,
-  /// then every `period` seconds until disarmed.
-  virtual void arm_tick(net::NodeId slot, sim::SimTime first, double period) = 0;
-
-  /// Stops `slot`'s beacon series (the sharded analogue of cancelling
-  /// SensorNode::tick_timer_). Idempotent.
-  virtual void disarm_tick(net::NodeId slot) = 0;
 };
 
 /// The static sensor network: slots, their fixed adjacency, beacon/lifetime
@@ -137,12 +111,6 @@ class SensorField {
   /// Opens/closes repair-lifecycle spans on `tracer` (nullptr detaches). The
   /// tracer must outlive the field.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Routes beacon tick series through `driver` (nullptr restores the
-  /// in-queue schedule). Must be installed before start(); the driver must
-  /// outlive the field.
-  void set_tick_driver(TickDriver* driver) noexcept { tick_driver_ = driver; }
-  [[nodiscard]] TickDriver* tick_driver() const noexcept { return tick_driver_; }
 
   // --- topology & lookup --------------------------------------------------
 
@@ -230,10 +198,7 @@ class SensorField {
   Hooks hooks_;
 
   /// SensorNode beacon hook: keeps the flat last-beacon mirror in sync with
-  /// the node's own stamp (called from tick() and revive()). Under sharding
-  /// all stores happen on the driver thread at barriers; the parallel
-  /// classification phase only *reads* the frozen mirror (docs/SHARDING.md
-  /// §3), so a plain store is race-free in both schedules.
+  /// the node's own stamp (called from tick() and revive()).
   void note_beacon(net::NodeId slot, sim::SimTime when) noexcept {
     if (slot < last_beacon_soa_.size()) last_beacon_soa_[slot] = when;
   }
@@ -253,7 +218,6 @@ class SensorField {
   std::size_t unreported_ = 0;
   trace::EventLog* event_log_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  TickDriver* tick_driver_ = nullptr;
 };
 
 }  // namespace sensrep::wsn

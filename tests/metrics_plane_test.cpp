@@ -256,35 +256,28 @@ TEST(Exporters, InfluxFileSinkWritesOnTick) {
             std::string::npos);
 }
 
-TEST(Exporters, PendingEventsGaugeMatchesDigestAtOneAndTwoShards) {
+TEST(Exporters, PendingEventsGaugeMatchesDigest) {
   // The gauge and StateDigest::pending_events read one count: queue events
-  // plus broadcast receptions batched into fan-outs plus tick series armed
-  // in shard tiles. The digest is shard-count invariant, so the gauge is too.
+  // plus broadcast receptions batched into fan-outs.
   MetricsGuard guard;
-  std::vector<std::vector<double>> series;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-    core::SimulationConfig cfg;
-    cfg.algorithm = core::Algorithm::kFixedDistributed;
-    cfg.robots = 4;
-    cfg.seed = 3;
-    cfg.sim_duration = 600.0;
-    cfg.field.shards = shards;
-    core::Simulation sim(cfg);
-    service::TelemetryExporter exporter(sim, {.period = 50.0});
-    std::vector<double> gauges;
-    exporter.set_line_sink([&](const std::string&) {
-      const double gauge =
-          Metrics::snapshot().gauges[static_cast<std::size_t>(Gauge::kPendingEvents)];
-      EXPECT_EQ(gauge, static_cast<double>(sim.digest().pending_events))
-          << "shards=" << shards << " t=" << sim.simulator().now();
-      gauges.push_back(gauge);
-    });
-    exporter.start();
-    sim.run();
-    EXPECT_EQ(gauges.size(), 12u);
-    series.push_back(std::move(gauges));
-  }
-  EXPECT_EQ(series[0], series[1]);
+  core::SimulationConfig cfg;
+  cfg.algorithm = core::Algorithm::kFixedDistributed;
+  cfg.robots = 4;
+  cfg.seed = 3;
+  cfg.sim_duration = 600.0;
+  core::Simulation sim(cfg);
+  service::TelemetryExporter exporter(sim, {.period = 50.0});
+  std::size_t samples = 0;
+  exporter.set_line_sink([&](const std::string&) {
+    const double gauge =
+        Metrics::snapshot().gauges[static_cast<std::size_t>(Gauge::kPendingEvents)];
+    EXPECT_EQ(gauge, static_cast<double>(sim.digest().pending_events))
+        << "t=" << sim.simulator().now();
+    ++samples;
+  });
+  exporter.start();
+  sim.run();
+  EXPECT_EQ(samples, 12u);
 }
 
 // ---------------------------------------------------------------------------

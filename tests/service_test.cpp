@@ -495,6 +495,34 @@ TEST(Snapshot, RejectsGarbage) {
   }
 }
 
+TEST(Snapshot, ObsoleteShardsLineIsCheckedAndIgnored) {
+  // Older builds could run the beacon schedule in parallel tiles and wrote
+  // the tile count into the genesis; every count replayed the same state.
+  service::reset_shutdown();
+  service::Daemon daemon(daemon_options(core::Algorithm::kDynamicDistributed));
+  daemon.handle_line("fail 5");
+  daemon.handle_line("advance 250");
+  const service::Snapshot snap = daemon.make_snapshot();
+  std::stringstream text;
+  snap.write(text);
+  const std::string written = text.str();
+  EXPECT_EQ(written.find("shards"), std::string::npos);
+  const auto with_line = [&written](const std::string& line) {
+    const auto at = written.find("telemetry-period ");
+    return written.substr(0, at) + line + '\n' + written.substr(at);
+  };
+
+  std::istringstream old(with_line("shards 4"));
+  const service::Snapshot loaded = service::Snapshot::read(old);
+  EXPECT_TRUE(loaded.digest == snap.digest);
+  service::Daemon restored(loaded);  // throws unless the replay hits the digest
+  EXPECT_TRUE(restored.simulation().digest() == snap.digest);
+  EXPECT_EQ(restored.status_line(), daemon.status_line());
+
+  std::istringstream malformed(with_line("shards four"));
+  EXPECT_THROW(service::Snapshot::read(malformed), std::runtime_error);
+}
+
 TEST(Snapshot, RestoreVerifiesTheDigestAndThrowsOnMismatch) {
   service::reset_shutdown();
   service::Daemon daemon(daemon_options(core::Algorithm::kCentralized));
