@@ -74,8 +74,15 @@ Vec2 SpatialHash::position(std::uint32_t key) const {
 }
 
 std::vector<std::uint32_t> SpatialHash::query_ball(Vec2 center, double radius) const {
-  assert(radius >= 0.0);
   std::vector<std::uint32_t> out;
+  query_ball(center, radius, out);
+  return out;
+}
+
+void SpatialHash::query_ball(Vec2 center, double radius,
+                             std::vector<std::uint32_t>& out) const {
+  assert(radius >= 0.0);
+  out.clear();
   const CellCoord lo = cell_of(center - Vec2{radius, radius});
   const CellCoord hi = cell_of(center + Vec2{radius, radius});
   const double r2 = radius * radius;
@@ -89,7 +96,6 @@ std::vector<std::uint32_t> SpatialHash::query_ball(Vec2 center, double radius) c
     }
   }
   std::sort(out.begin(), out.end());
-  return out;
 }
 
 bool SpatialHash::nearest(Vec2 center, std::uint32_t exclude, std::uint32_t& out_key) const {

@@ -36,6 +36,10 @@ class SpatialHash {
   /// in ascending key order for determinism.
   [[nodiscard]] std::vector<std::uint32_t> query_ball(Vec2 center, double radius) const;
 
+  /// Same keys, same order, written over `out` (cleared first) so a caller
+  /// on a hot path reuses one buffer's capacity instead of allocating.
+  void query_ball(Vec2 center, double radius, std::vector<std::uint32_t>& out) const;
+
   /// Key of the nearest object to `center`, excluding `exclude` (pass a key
   /// not in the index, e.g. the querying node itself, or UINT32_MAX for
   /// none). Returns false when the index has no eligible object.

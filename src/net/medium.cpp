@@ -1,8 +1,10 @@
 #include "net/medium.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -49,7 +51,8 @@ Medium::Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
       rng_(rng),
       config_(config),
       counters_(&counters),
-      index_(bucket_size_m) {
+      index_(bucket_size_m),
+      mobile_index_(bucket_size_m) {
   config_.validate();
   if (config_.chaos.any_enabled()) {
     // fork() is a pure function of (seed, name): instantiating the chaos
@@ -61,15 +64,21 @@ Medium::Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
 void Medium::attach(NodeId id, Vec2 pos, double tx_range, ReceiveFn rx) {
   if (!is_real_node(id)) throw std::invalid_argument("Medium::attach: reserved id");
   if (tx_range <= 0.0) throw std::invalid_argument("Medium::attach: non-positive range");
-  if (id >= nodes_.size()) nodes_.resize(id + 1);
+  if (id >= nodes_.size()) {
+    nodes_.resize(id + 1);
+    fixed_receivers_.resize(id + 1);
+  }
   if (nodes_[id].attached) throw std::invalid_argument("Medium::attach: duplicate id");
-  nodes_[id] = Transceiver{pos, tx_range, true, true, std::move(rx)};
+  nodes_[id] = Transceiver{pos, tx_range, true, true, false, std::move(rx)};
   index_.upsert(id, pos);
+  ++fixed_generation_;
 }
 
 void Medium::detach(NodeId id) {
   if (id < nodes_.size()) nodes_[id] = Transceiver{};
   index_.erase(id);
+  mobile_index_.erase(id);
+  ++fixed_generation_;
 }
 
 const Medium::Transceiver& Medium::get(NodeId id) const {
@@ -87,8 +96,14 @@ Medium::Transceiver& Medium::get(NodeId id) {
 }
 
 void Medium::set_position(NodeId id, Vec2 pos) {
-  get(id).pos = pos;
+  Transceiver& t = get(id);
+  if (!t.mobile) {
+    t.mobile = true;
+    ++fixed_generation_;  // the fixed set lost a node
+  }
+  t.pos = pos;
   index_.upsert(id, pos);
+  mobile_index_.upsert(id, pos);
 }
 
 void Medium::set_alive(NodeId id, bool alive_flag) { get(id).alive = alive_flag; }
@@ -112,20 +127,40 @@ bool Medium::in_range(NodeId sender, NodeId receiver) const {
 std::vector<NodeId> Medium::neighbors_of(NodeId sender) const {
   const Transceiver& s = get(sender);
   std::vector<NodeId> out;
-  for (const NodeId id : index_.query_ball(s.pos, s.tx_range)) {
-    if (id == sender) continue;
-    if (!nodes_[id].alive) continue;
-    out.push_back(id);
-  }
+  index_.query_ball(s.pos, s.tx_range, out);
+  std::erase_if(out, [&](NodeId id) { return id == sender || !nodes_[id].alive; });
   return out;
 }
 
 std::vector<NodeId> Medium::nodes_near(Vec2 pos, double radius) const {
   std::vector<NodeId> out;
-  for (const NodeId id : index_.query_ball(pos, radius)) {
-    if (nodes_[id].alive) out.push_back(id);
-  }
+  index_.query_ball(pos, radius, out);
+  std::erase_if(out, [&](NodeId id) { return !nodes_[id].alive; });
   return out;
+}
+
+const std::vector<NodeId>& Medium::receivers_of(NodeId sender, const Transceiver& s) {
+  if (s.mobile) {
+    index_.query_ball(s.pos, s.tx_range, receiver_scratch_);
+    std::erase(receiver_scratch_, sender);
+    return receiver_scratch_;
+  }
+  // Neither a fixed sender nor its fixed receivers have moved since the
+  // cache was filled, so only the mobile nodes need a fresh query. Same
+  // predicate (query_ball's closed ball) on both sides; the two sets are
+  // disjoint, so merging them gives the full query's ascending order.
+  FixedReceivers& fixed = fixed_receivers_[sender];
+  if (fixed.generation != fixed_generation_) {
+    index_.query_ball(s.pos, s.tx_range, fixed.ids);
+    std::erase_if(fixed.ids, [&](NodeId id) { return id == sender || nodes_[id].mobile; });
+    fixed.generation = fixed_generation_;
+  }
+  mobile_index_.query_ball(s.pos, s.tx_range, mobile_scratch_);
+  if (mobile_scratch_.empty()) return fixed.ids;
+  receiver_scratch_.clear();
+  std::merge(fixed.ids.begin(), fixed.ids.end(), mobile_scratch_.begin(),
+             mobile_scratch_.end(), std::back_inserter(receiver_scratch_));
+  return receiver_scratch_;
 }
 
 sim::Duration Medium::serialization_time(const Packet& pkt) const noexcept {
@@ -252,8 +287,7 @@ void Medium::broadcast(NodeId sender, Packet pkt) {
   const sim::Duration delay = frame_delay(pkt);
   pkt.hops += 1;
   Frame frame{pkt, sender, /*collidable=*/true};
-  for (const NodeId id : index_.query_ball(s.pos, s.tx_range)) {
-    if (id == sender) continue;
+  for (const NodeId id : receivers_of(sender, s)) {
     const Transceiver& r = nodes_[id];
     if (!r.alive) continue;
     if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {

@@ -55,6 +55,10 @@ struct RadioConfig {
 /// the sender's transmission range; a unicast reaches only its target (with
 /// link-layer ARQ under loss). Every radio send increments the per-category
 /// transmission counter — the paper's messaging-overhead metric.
+///
+/// A node is *fixed* until its first set_position() and *mobile* from then
+/// on: sensors never move, robots do. A fixed sender's fixed receivers are
+/// cached, so a broadcast only queries the (few) mobile nodes near it.
 class Medium {
  public:
   /// Called on packet reception: (packet, link-layer sender).
@@ -74,7 +78,7 @@ class Medium {
   /// Unregisters a transceiver (node permanently removed, not just failed).
   void detach(NodeId id);
 
-  /// Moves a transceiver (robots).
+  /// Moves a transceiver (robots). The first move makes the node mobile.
   void set_position(NodeId id, geometry::Vec2 pos);
 
   /// Marks a node dead (failed sensor: no TX, no RX) or alive again.
@@ -99,7 +103,7 @@ class Medium {
   /// One-hop broadcast. Counts one transmission; every alive node in range
   /// hears it after one serialization + backoff delay drawn for the frame.
   /// The receptions form one fan-out: a single queue event that delivers to
-  /// them in neighbors_of(sender) order.
+  /// them in ascending id order, the order of neighbors_of(sender).
   void broadcast(NodeId sender, Packet pkt);
 
   /// Link-layer unicast with ARQ. Counts one transmission per attempt.
@@ -154,8 +158,21 @@ class Medium {
     double tx_range = 0.0;
     bool alive = true;
     bool attached = false;
+    bool mobile = false;  // set by the first set_position(), never cleared
     ReceiveFn rx;
   };
+
+  /// A fixed sender's fixed receivers: the ids of the fixed nodes within its
+  /// range, sender excluded, alive or not, ascending. Valid while
+  /// `generation` equals fixed_generation_.
+  struct FixedReceivers {
+    std::uint64_t generation = 0;
+    std::vector<NodeId> ids;
+  };
+
+  /// Every node within `sender`'s range but itself, alive or not, ascending
+  /// id. Points into the cache or a scratch buffer; valid until the next call.
+  [[nodiscard]] const std::vector<NodeId>& receivers_of(NodeId sender, const Transceiver& s);
 
   [[nodiscard]] const Transceiver& get(NodeId id) const;
   [[nodiscard]] Transceiver& get(NodeId id);
@@ -229,11 +246,19 @@ class Medium {
   sim::Rng rng_;
   RadioConfig config_;
   metrics::TransmissionCounters* counters_;
-  geometry::SpatialHash index_;
+  geometry::SpatialHash index_;         // every attached node
+  geometry::SpatialHash mobile_index_;  // mobile nodes only
   /// Dense table indexed by NodeId (ids are dense: sensors [0, n), robots and
   /// the manager right above). Hot delivery paths index straight into it
   /// instead of hashing per receiver.
   std::vector<Transceiver> nodes_;
+  /// Indexed like nodes_. Sensors never move, so a fixed sender's fixed
+  /// receivers only change when the fixed set does: attach, detach, or a
+  /// node's first move, each of which bumps fixed_generation_.
+  std::vector<FixedReceivers> fixed_receivers_;
+  std::uint64_t fixed_generation_ = 1;
+  std::vector<NodeId> mobile_scratch_;    // mobile nodes in a sender's range
+  std::vector<NodeId> receiver_scratch_;  // receivers_of's merged result
   std::unordered_map<NodeId, std::vector<PendingArrival>> pending_;
   // A deque: growing it keeps addresses stable, since a receiver's handler
   // may open fan-outs while an earlier one is still delivering.

@@ -1,5 +1,6 @@
 // Unit tests for the wireless medium: attachment rules, asymmetric ranges,
-// broadcast/unicast delivery, liveness filtering, loss + ARQ, accounting.
+// broadcast/unicast delivery, liveness filtering, loss + ARQ, accounting,
+// the fixed-sender receiver cache, and broadcasts vs. a brute-force scan.
 
 #include <gtest/gtest.h>
 
@@ -343,6 +344,75 @@ TEST_F(MediumTest, FanOutDeliversInNeighborOrder) {
   EXPECT_EQ(order.size(), 5u);
 }
 
+// --- Fixed-sender receiver cache ------------------------------------------------
+//
+// A node that never called set_position() is fixed; a fixed sender's fixed
+// receivers are cached. Each test below fails if one of the invalidations
+// (attach, detach, first move) is missing.
+
+class MediumCacheTest : public MediumTest {
+ protected:
+  /// Attaches `id` recording every reception into heard_.
+  void attach_listener(NodeId id, Vec2 pos, double range = 50.0) {
+    medium_.attach(id, pos, range, [this, id](const Packet&, NodeId) { heard_.push_back(id); });
+  }
+
+  /// Receivers of one broadcast from `sender`, in delivery order. Also
+  /// checks that no reception was scheduled for a node that gets nothing.
+  std::vector<NodeId> hear(NodeId sender) {
+    heard_.clear();
+    medium_.broadcast(sender, beacon(sender));
+    const std::uint64_t scheduled = sim_.pending() + medium_.batched_pending();
+    sim_.run_all();
+    EXPECT_EQ(scheduled, heard_.size());
+    return heard_;
+  }
+
+  std::vector<NodeId> heard_;
+};
+
+TEST_F(MediumCacheTest, RobotMovingIntoThenOutOfRangeIsHeardThenNot) {
+  attach_listener(1, {0, 0});
+  attach_listener(2, {30, 0});
+  attach_listener(100, {40, 0}, 250.0);  // a robot parked in range: fixed so far
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2, 100}));
+  medium_.set_position(100, {200, 0});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2}));
+  medium_.set_position(100, {0, 45});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2, 100}));
+  medium_.set_position(100, {40, 40});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2}));
+}
+
+TEST_F(MediumCacheTest, NodeAttachedAfterTheFirstBroadcastHearsTheSecond) {
+  attach_listener(1, {0, 0});
+  attach_listener(3, {30, 0});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{3}));
+  attach_listener(2, {0, 20});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2, 3}));
+}
+
+TEST_F(MediumCacheTest, DetachedFixedNodeStopsHearing) {
+  attach_listener(1, {0, 0});
+  attach_listener(2, {10, 0});
+  attach_listener(3, {20, 0});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2, 3}));
+  medium_.detach(2);
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{3}));  // and nothing scheduled for 2
+}
+
+TEST_F(MediumCacheTest, NodeMovedBackToItsOriginalCoordinatesHearsOnce) {
+  attach_listener(1, {0, 0});
+  attach_listener(2, {20, 0});  // fixed and cached, until its first move
+  attach_listener(3, {30, 0});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2, 3}));
+  medium_.set_position(2, {400, 0});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{3}));
+  medium_.set_position(2, {20, 0});
+  EXPECT_EQ(hear(1), (std::vector<NodeId>{2, 3}));
+  EXPECT_EQ(hear(2), (std::vector<NodeId>{1, 3}));  // a mobile sender
+}
+
 TEST(MediumFanOutTest, CollisionCorruptsOnlyTheOverlappedReceivers) {
   sim::Simulator sim;
   metrics::TransmissionCounters counters;
@@ -549,6 +619,90 @@ TEST(MediumCollisionTest, UnicastsAreProtected) {
   sim.run_all();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(medium.collisions(), 0u);
+}
+
+// --- Broadcast receivers vs. a brute-force scan ----------------------------------
+//
+// Seeded sequences of attach, move, detach, set_alive and broadcast. After
+// every broadcast, the receivers in delivery order must equal the oracle:
+// every attached, alive node but the sender with distance2 <= r*r, by
+// ascending id. Integer coordinates and ranges put nodes exactly on range
+// boundaries, where the closed ball must include them.
+
+TEST(MediumDifferential, BroadcastReceiversMatchABruteForceScan) {
+  constexpr NodeId kNodes = 48;
+  constexpr double kRanges[] = {20.0, 50.0, 63.0, 250.0};
+  constexpr double kBuckets[] = {20.0, 50.0, 63.0, 150.0};
+  struct Ref {
+    bool attached = false;
+    bool alive = true;
+    Vec2 pos;
+    double range = 0.0;
+  };
+  int broadcasts = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    sim::Simulator sim;
+    metrics::TransmissionCounters counters;
+    Medium medium(sim, sim::Rng(seed), RadioConfig{}, counters, kBuckets[seed % 4]);
+    std::vector<Ref> ref(kNodes);
+    std::vector<NodeId> heard;
+    auto random_pos = [&rng] {
+      return Vec2{10.0 * static_cast<double>(rng.below(31)),
+                  10.0 * static_cast<double>(rng.below(31))};
+    };
+    for (int op = 0; op < 400; ++op) {
+      const NodeId id = static_cast<NodeId>(rng.below(kNodes));
+      Ref& r = ref[id];
+      switch (rng.below(6)) {
+        case 0:
+          if (r.attached) {
+            medium.detach(id);
+            r = Ref{};
+          } else {
+            r = Ref{true, true, random_pos(), kRanges[rng.below(4)]};
+            medium.attach(id, r.pos, r.range,
+                          [&heard, id](const Packet&, NodeId) { heard.push_back(id); });
+          }
+          break;
+        case 1:
+          if (r.attached) {
+            r.alive = !r.alive;
+            medium.set_alive(id, r.alive);
+          }
+          break;
+        case 2:
+          if (r.attached && id % 4 == 0) {  // a quarter of the ids ever move
+            r.pos = rng.chance(0.2) ? r.pos : random_pos();
+            medium.set_position(id, r.pos);
+          }
+          break;
+        default:
+          if (r.attached && r.alive) {
+            std::vector<NodeId> expected;
+            for (NodeId j = 0; j < kNodes; ++j) {
+              if (j != id && ref[j].attached && ref[j].alive &&
+                  geometry::distance2(r.pos, ref[j].pos) <= r.range * r.range) {
+                expected.push_back(j);
+              }
+            }
+            heard.clear();
+            Packet p;
+            p.type = PacketType::kBeacon;
+            p.src = id;
+            medium.broadcast(id, p);
+            // Nothing is scheduled for a node that then gets nothing.
+            ASSERT_EQ(sim.pending() + medium.batched_pending(), expected.size());
+            sim.run_all();
+            ASSERT_EQ(heard, expected) << "broadcast from " << id << " at op " << op;
+            ++broadcasts;
+          }
+          break;
+      }
+    }
+  }
+  EXPECT_GT(broadcasts, 3000);
 }
 
 // --- Packet ------------------------------------------------------------------------
